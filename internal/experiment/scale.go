@@ -56,7 +56,9 @@ type ScaleReport struct {
 // meteredSource wraps a Source, counting contacts and sampling the live
 // heap as they flow. Sampling runs every sampleEvery contacts so the
 // ReadMemStats stop-the-world cost stays invisible next to the
-// simulation work between samples.
+// simulation work between samples. It implements trace.BulkSource, so a
+// metered run drains the wrapped source in batches exactly like a raw
+// one.
 type meteredSource struct {
 	src      trace.Source
 	every    int
@@ -118,6 +120,19 @@ func (m *meteredSource) Next() (trace.Contact, bool) {
 		}
 	}
 	return c, ok
+}
+
+// NextBatch implements trace.BulkSource: one bulk fill from the wrapped
+// source, counted per batch, with a heap sample whenever the batch
+// crosses a multiple of every.
+func (m *meteredSource) NextBatch(buf []trace.Contact) int {
+	n := trace.FillBatch(m.src, buf)
+	before := m.produced
+	m.produced += n
+	if m.produced/m.every != before/m.every {
+		m.sample()
+	}
+	return n
 }
 
 // StreamingScale runs one fused generate+simulate trial under the tuned

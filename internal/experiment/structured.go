@@ -150,9 +150,9 @@ type StructuredReport struct {
 
 // StructuredScale runs one trial of the given schemes over the model on
 // the sharded executor (sc.Shards) and meters it. The contact stream is
-// counted and heap-sampled through the metering wrapper, which costs the
-// producer the Partitionable fast path for generation — the sim worker
-// fan-out, which dominates, still applies.
+// counted and heap-sampled per batch through the metering wrapper, which
+// keeps the bulk path but costs the producer the Partitionable fast path
+// for generation — the sim worker fan-out still applies.
 func (sc Scenario) StructuredScale(u utility.Function, m *rates.Model, schemes []string, trial uint64) (*StructuredReport, error) {
 	if err := checkStructuredSchemes(schemes); err != nil {
 		return nil, err

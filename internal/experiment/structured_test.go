@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"impatience/internal/rates"
+	"impatience/internal/sim"
+	"impatience/internal/trace"
 	"impatience/internal/utility"
 )
 
@@ -59,6 +61,52 @@ func TestStructuredScaleShardInvariance(t *testing.T) {
 				t.Errorf("shards=%d scheme %s: utility %g != %g",
 					shards, schemes[k], rep.AvgUtility[k], base.AvgUtility[k])
 			}
+		}
+	}
+}
+
+// TestMeteredSourceMatchesRaw: metering is observation only. A run over
+// the metered source — drained in batches through its NextBatch, with
+// heap samples landing mid-stream — gives the same result digests as the
+// same run over the raw source, at one and two shards, and counts every
+// contact the runs stepped.
+func TestMeteredSourceMatchesRaw(t *testing.T) {
+	var _ trace.BulkSource = (*meteredSource)(nil)
+	sc, m := structuredTiny(t)
+	schemes := []string{SchemeQCR, SchemeUNI}
+	mu := m.MeanPairRate()
+	for _, shards := range []int{1, 2} {
+		run := func(wrap func(trace.Source) trace.Source) []*sim.Result {
+			t.Helper()
+			src, err := sc.StructuredSources(m)(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs, err := sc.batchConfigs(schemes, utility.Step{Tau: 10}, nil, mu, 0, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.RunBatchSharded(cfgs, wrap(src), shards)
+			if err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
+			}
+			return res
+		}
+		raw := run(func(s trace.Source) trace.Source { return s })
+		var metered *meteredSource
+		got := run(func(s trace.Source) trace.Source {
+			metered = newMeteredSource(s)
+			metered.every = 97 // sample inside batches, off their boundaries
+			return metered
+		})
+		for k := range raw {
+			if got[k].Digest() != raw[k].Digest() {
+				t.Errorf("shards=%d scheme %s: metered digest %016x, raw %016x",
+					shards, schemes[k], got[k].Digest(), raw[k].Digest())
+			}
+		}
+		if metered.produced != raw[0].Meetings || metered.produced == 0 {
+			t.Errorf("shards=%d: metered %d contacts, run stepped %d", shards, metered.produced, raw[0].Meetings)
 		}
 	}
 }

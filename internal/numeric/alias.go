@@ -126,14 +126,80 @@ func (a *Alias) Probabilities() []float64 {
 // using a single uniform: the integer part picks the column, the
 // fractional part decides between the column and its alias. No
 // allocation, two array reads.
-func (a *Alias) Sample(rng *rand.Rand) int {
-	u := rng.Float64() * float64(len(a.prob))
-	i := int(u)
-	if i >= len(a.prob) { // guards float rounding at the top end
-		i = len(a.prob) - 1
-	}
-	if u-float64(i) < a.prob[i] {
+func (a *Alias) Sample(rng *rand.Rand) int { return a.SampleBits(rng.Uint64()) }
+
+// SampleBits is Sample driven by one raw 64-bit draw: SampleBits(src.Uint64())
+// returns exactly what Sample(rand.New(src)) would, so a caller that holds
+// the concrete generator skips the interface call per draw.
+func (a *Alias) SampleBits(bits uint64) int {
+	i, coin := column(bits, len(a.prob))
+	if coin < a.prob[i] {
 		return i
 	}
 	return int(a.alias[i])
+}
+
+// column splits one raw draw into a column of an n-column table and the
+// coin that decides between the column and its alias. The uniform is
+// formed exactly as rand.Rand.Float64 forms it (the low 53 bits over
+// 2⁵³), which is what keeps SampleBits bit-compatible with Sample.
+func column(bits uint64, n int) (int, float64) {
+	u := float64(bits<<11>>11) / (1 << 53) * float64(n)
+	i := int(u)
+	if i >= n { // guards float rounding at the top end
+		i = n - 1
+	}
+	return i, u - float64(i)
+}
+
+// LabeledAlias is an alias table whose columns carry caller-chosen int32
+// labels: a draw returns the label of the column or of its alias instead
+// of an index. Each column is one 16-byte entry holding the keep
+// probability and both labels, so a draw reads a single entry where an
+// Alias plus a separate index → label slice would read three arrays.
+type LabeledAlias []labeledColumn
+
+type labeledColumn struct {
+	prob        float64
+	keep, alias int32
+}
+
+// Labeled folds labels into the table: column i returns labels[i] when
+// kept and the label of its alias column otherwise. The result draws
+// exactly what labels[a.SampleBits(bits)] would.
+func (a *Alias) Labeled(labels []int32) (LabeledAlias, error) {
+	if len(labels) != len(a.prob) {
+		return nil, fmt.Errorf("%w: %d labels for %d columns", ErrBadWeights, len(labels), len(a.prob))
+	}
+	out := make(LabeledAlias, len(a.prob))
+	for i, p := range a.prob {
+		out[i] = labeledColumn{prob: p, keep: labels[i], alias: labels[a.alias[i]]}
+	}
+	return out, nil
+}
+
+// SampleBits draws one label from one raw 64-bit draw.
+func (t LabeledAlias) SampleBits(bits uint64) int32 {
+	i, coin := column(bits, len(t))
+	c := &t[i]
+	if coin < c.prob {
+		return c.keep
+	}
+	return c.alias
+}
+
+// Probabilities reads the realized sampling distribution back out of the
+// labeled entries, keyed by label — the counterpart of
+// Alias.Probabilities for the table that is actually sampled. O(n);
+// allocates the result map.
+func (t LabeledAlias) Probabilities() map[int32]float64 {
+	out := make(map[int32]float64, len(t))
+	inv := 1 / float64(len(t))
+	for _, c := range t {
+		out[c.keep] += c.prob * inv
+		if c.prob < 1 {
+			out[c.alias] += (1 - c.prob) * inv
+		}
+	}
+	return out
 }

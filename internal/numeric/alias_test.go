@@ -194,3 +194,59 @@ func TestAliasProbabilities(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleBitsMatchesSample pins the raw-draw entry points to Sample:
+// fed the words of the same PCG stream, SampleBits returns what Sample
+// returns through a rand.Rand over that PCG, and a labeled table returns
+// the label of that column — draw for draw, including tables with
+// zero-weight (always aliased) columns.
+func TestSampleBitsMatchesSample(t *testing.T) {
+	rng := aliasRNG(5)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.IntN(40)
+		w := make([]float64, n)
+		labels := make([]int32, n)
+		for i := range w {
+			if rng.Float64() < 0.2 {
+				w[i] = 0
+			} else {
+				w[i] = rng.ExpFloat64()
+			}
+			labels[i] = int32(1000*trial + 7*i + 3)
+		}
+		w[rng.IntN(n)] = 1
+		a, err := NewAlias(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := a.Labeled(labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := rng.Uint64()
+		viaRand := rand.New(rand.NewPCG(seed, seed+1))
+		raw := rand.NewPCG(seed, seed+1)
+		for d := 0; d < 2000; d++ {
+			want := a.Sample(viaRand)
+			bits := raw.Uint64()
+			if got := a.SampleBits(bits); got != want {
+				t.Fatalf("trial %d draw %d: SampleBits %d, Sample %d", trial, d, got, want)
+			}
+			if got := lab.SampleBits(bits); got != labels[want] {
+				t.Fatalf("trial %d draw %d: labeled draw %d, want label %d of column %d", trial, d, got, labels[want], want)
+			}
+		}
+		// The labeled readback is the column readback, relabeled.
+		colP := a.Probabilities()
+		labP := lab.Probabilities()
+		for i, p := range colP {
+			if p != labP[labels[i]] {
+				t.Fatalf("trial %d: label %d realizes %g, column %d %g", trial, labels[i], labP[labels[i]], i, p)
+			}
+		}
+	}
+	a, _ := NewAlias([]float64{1, 2})
+	if _, err := a.Labeled([]int32{1}); !errors.Is(err, ErrBadWeights) {
+		t.Errorf("Labeled with 1 label for 2 columns: err %v, want ErrBadWeights", err)
+	}
+}

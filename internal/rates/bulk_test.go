@@ -9,7 +9,7 @@ import (
 
 // TestShardedNextBatchMatchesNext: the bulk seam over the group-merged
 // structured source must reproduce the scalar Next sequence exactly —
-// same lazy construction, same heap pops, same contacts — for random
+// same lazy construction, same tournament, same contacts — for random
 // community shapes, group counts and batch sizes, including interleaved
 // scalar draws mid-stream.
 func TestShardedNextBatchMatchesNext(t *testing.T) {

@@ -276,10 +276,11 @@ func (m *Model) DenseRates() (*trace.RateMatrix, error) {
 	return rm, nil
 }
 
-// memberAliases builds the per-community member alias tables (weight-
-// proportional within each community). Total size is O(N).
-func (m *Model) memberAliases() ([]*numeric.Alias, error) {
-	out := make([]*numeric.Alias, len(m.members))
+// memberTables builds the per-community node tables: alias tables
+// weight-proportional within each community whose columns carry the
+// member node ids, so one draw yields a node id. Total size is O(N).
+func (m *Model) memberTables() ([]numeric.LabeledAlias, error) {
+	out := make([]numeric.LabeledAlias, len(m.members))
 	for c, mem := range m.members {
 		w := make([]float64, len(mem))
 		for i, n := range mem {
@@ -289,7 +290,9 @@ func (m *Model) memberAliases() ([]*numeric.Alias, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rates: community %d member table: %w", c, err)
 		}
-		out[c] = a
+		if out[c], err = a.Labeled(mem); err != nil {
+			return nil, fmt.Errorf("rates: community %d member table: %w", c, err)
+		}
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"impatience/internal/trace"
@@ -191,9 +192,11 @@ func randomCommunityModel(rng *rand.Rand) *Model {
 // probabilities (with the same-community pair-rejection normalization
 // 2·q_a·q_b/(1−Σq²)) — must equal the normalized flat pair rates
 // RateAt(a,b)/TotalRate to 1e-12, for every pair. The realized
-// distributions are read back out of the alias tables via
-// numeric.Alias.Probabilities, so this pins the tables actually sampled
-// from, not the intended weights.
+// distributions are read back out of the tables the sampler draws from —
+// the top numeric.Alias and the node-id member tables, keyed by the node
+// ids they actually return — so this pins the tables actually sampled
+// from, not the intended weights or the alias tables they were built
+// from.
 func TestTwoLevelProbabilityProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 4242))
 	const configs = 500
@@ -204,21 +207,31 @@ func TestTwoLevelProbabilityProperty(t *testing.T) {
 			t.Fatalf("config %d: %v", cfg, err)
 		}
 		topP := src.top.Probabilities()
-		memP := make([][]float64, len(m.members))
-		rejNorm := make([]float64, len(m.members)) // 1 − Σ q_i² per community
-		for c := range m.members {
+		memP := make([]map[int32]float64, len(m.members)) // node id → draw probability
+		rejNorm := make([]float64, len(m.members))        // 1 − Σ q_i² per community
+		for c, mem := range m.members {
 			memP[c] = src.member[c].Probabilities()
 			sq := 0.0
-			for _, q := range memP[c] {
+			for node, q := range memP[c] {
+				if m.Community(int(node)) != c {
+					t.Fatalf("config %d: community %d table draws node %d of community %d", cfg, c, node, m.Community(int(node)))
+				}
 				sq += q * q
+			}
+			if len(memP[c]) > len(mem) {
+				t.Fatalf("config %d: community %d table draws %d nodes, has %d members", cfg, c, len(memP[c]), len(mem))
 			}
 			rejNorm[c] = 1 - sq
 		}
-		// Position of each node within its community's member slice.
-		pos := make([]int, m.Nodes())
-		for _, mem := range m.members {
-			for i, n := range mem {
-				pos[n] = i
+		// The group sampler draws its endpoints from its own node tables;
+		// they must realize the same member distributions.
+		sh, err := NewSharded(m, 100, 1, 0)
+		if err != nil {
+			t.Fatalf("config %d: %v", cfg, err)
+		}
+		for c := range m.members {
+			if got := sh.member[c].Probabilities(); !reflect.DeepEqual(got, memP[c]) {
+				t.Fatalf("config %d: community %d: sharded node table realizes %v, serial %v", cfg, c, got, memP[c])
 			}
 		}
 		realized := make([]float64, trace.NumPairs(m.Nodes()))
@@ -228,14 +241,14 @@ func TestTwoLevelProbabilityProperty(t *testing.T) {
 				mem := m.members[c]
 				for i := 0; i < len(mem); i++ {
 					for j := i + 1; j < len(mem); j++ {
-						p := topP[k] * 2 * memP[c][i] * memP[c][j] / rejNorm[c]
+						p := topP[k] * 2 * memP[c][mem[i]] * memP[c][mem[j]] / rejNorm[c]
 						realized[trace.PairIndex(m.Nodes(), int(mem[i]), int(mem[j]))] += p
 					}
 				}
 			} else {
 				for _, a := range m.members[c] {
 					for _, b := range m.members[d] {
-						p := topP[k] * memP[c][pos[a]] * memP[d][pos[b]]
+						p := topP[k] * memP[c][a] * memP[d][b]
 						realized[trace.PairIndex(m.Nodes(), int(a), int(b))] += p
 					}
 				}

@@ -26,9 +26,10 @@ type Source struct {
 	m        *Model
 	duration float64
 	seed     uint64
-	rng      *rand.Rand
+	pcg      *rand.PCG  // alias draws take raw 64-bit words from it
+	rng      *rand.Rand // wraps pcg; the clock's ExpFloat64
 	top      *numeric.Alias
-	member   []*numeric.Alias
+	member   []numeric.LabeledAlias
 	t        float64
 	done     bool
 }
@@ -43,18 +44,22 @@ func NewSource(m *Model, duration float64, seed uint64) (*Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rates: block-pair table: %w", err)
 	}
-	member, err := m.memberAliases()
+	member, err := m.memberTables()
 	if err != nil {
 		return nil, err
 	}
-	return &Source{
-		m:        m,
-		duration: duration,
-		seed:     seed,
-		rng:      rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		top:      top,
-		member:   member,
-	}, nil
+	s := &Source{m: m, duration: duration, seed: seed, top: top, member: member}
+	s.pcg, s.rng = newRNG(seed)
+	return s, nil
+}
+
+// newRNG derives the sampler's generator from a seed: the PCG the alias
+// draws read directly, and the rand.Rand over that same PCG that draws
+// the exponential clock. Both consume one stream, in the order the
+// sampler calls them.
+func newRNG(seed uint64) (*rand.PCG, *rand.Rand) {
+	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+	return pcg, rand.New(pcg)
 }
 
 // Model returns the rate model the source samples from.
@@ -78,8 +83,8 @@ func (s *Source) Next() (trace.Contact, bool) {
 		s.done = true
 		return trace.Contact{}, false
 	}
-	cd := s.m.pairC[s.top.Sample(s.rng)]
-	a, b := samplePair(s.m, s.member, int(cd[0]), int(cd[1]), s.rng)
+	cd := s.m.pairC[s.top.SampleBits(s.pcg.Uint64())]
+	a, b := samplePair(s.member, int(cd[0]), int(cd[1]), s.pcg)
 	return trace.Contact{T: s.t, A: a, B: b}, true
 }
 
@@ -88,20 +93,17 @@ func (s *Source) Next() (trace.Contact, bool) {
 // immutable after construction), so reopening is O(1) however large the
 // model.
 func (s *Source) Reopen() (trace.Source, error) {
-	return &Source{
-		m:        s.m,
-		duration: s.duration,
-		seed:     s.seed,
-		rng:      rand.New(rand.NewPCG(s.seed, s.seed^0x9e3779b97f4a7c15)),
-		top:      s.top,
-		member:   s.member,
-	}, nil
+	r := &Source{m: s.m, duration: s.duration, seed: s.seed, top: s.top, member: s.member}
+	r.pcg, r.rng = newRNG(s.seed)
+	return r, nil
 }
 
 // samplePair draws the endpoints of one contact in block pair (c, d),
-// returned with A < B per the digest-stable ordering convention.
-func samplePair(m *Model, member []*numeric.Alias, c, d int, rng *rand.Rand) (int, int) {
-	var a, b int
+// returned with A < B per the digest-stable ordering convention. Each
+// endpoint is one draw from its community's node table, fed a raw word
+// straight from the PCG.
+func samplePair(member []numeric.LabeledAlias, c, d int, pcg *rand.PCG) (int, int) {
+	var a, b int32
 	if c == d {
 		// Reject and redraw the WHOLE pair on a == b: redrawing only the
 		// second endpoint would distribute pairs as q_a·q_b/(1−q_a),
@@ -109,20 +111,20 @@ func samplePair(m *Model, member []*numeric.Alias, c, d int, rng *rand.Rand) (in
 		// both gives P{a,b} = 2·q_a·q_b / (1 − Σ q_i²) ∝ w_a·w_b — the
 		// exact within-block distribution the aggregate (CW²−CSq)/2
 		// assumes (pinned to 1e-12 by the property test).
-		mem := m.members[c]
+		tab := member[c]
 		for {
-			a = int(mem[member[c].Sample(rng)])
-			b = int(mem[member[c].Sample(rng)])
+			a = tab.SampleBits(pcg.Uint64())
+			b = tab.SampleBits(pcg.Uint64())
 			if a != b {
 				break
 			}
 		}
 	} else {
-		a = int(m.members[c][member[c].Sample(rng)])
-		b = int(m.members[d][member[d].Sample(rng)])
+		a = member[c].SampleBits(pcg.Uint64())
+		b = member[d].SampleBits(pcg.Uint64())
 	}
 	if a > b {
 		a, b = b, a
 	}
-	return a, b
+	return int(a), int(b)
 }

@@ -218,7 +218,7 @@ func TestBatchedStreamZeroAllocSteadyState(t *testing.T) {
 
 // TestShardedSourceZeroAllocSteadyState pins the structured-rates bulk
 // path: draining a community model through ShardedSource.NextBatch and
-// stepping the contacts is allocation-free once warm — the merge heap,
+// stepping the contacts is allocation-free once warm — the loser tree,
 // group samplers and runner all reuse their state.
 func TestShardedSourceZeroAllocSteadyState(t *testing.T) {
 	const (

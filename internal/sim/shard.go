@@ -89,9 +89,9 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 		feeds[w] = make(chan shardChunk, 4)
 	}
 
-	// Producer: generate → validate → chunk → broadcast. Runs on the
-	// caller's goroutine? No — it must overlap with the workers, so it
-	// gets its own; the caller just joins everyone at the end.
+	// Producer: generate → validate → chunk → broadcast. It runs on its
+	// own goroutine so it overlaps with the workers; the caller joins
+	// everyone at the end.
 	var prodErr *shardError
 	var prodWG sync.WaitGroup
 	prodWG.Add(1)
@@ -252,26 +252,18 @@ func newShardStream(src trace.Source, shards int) *shardStream {
 		s.parts[i] = part
 		go func(sub trace.Source) {
 			defer close(part.ch)
-			buf := make([]trace.Contact, 0, shardChunkSize)
 			for {
-				c, ok := sub.Next()
-				if !ok {
-					break
+				// Fresh per chunk: the producer reads a sent chunk while
+				// this goroutine fills the next.
+				buf := make([]trace.Contact, shardChunkSize)
+				n := trace.FillBatch(sub, buf)
+				if n == 0 {
+					return
 				}
-				buf = append(buf, c)
-				if len(buf) == shardChunkSize {
-					select {
-					case part.ch <- buf:
-					case <-s.done:
-						return
-					}
-					buf = make([]trace.Contact, 0, shardChunkSize)
-				}
-			}
-			if len(buf) > 0 {
 				select {
-				case part.ch <- buf:
+				case part.ch <- buf[:n]:
 				case <-s.done:
+					return
 				}
 			}
 		}(sub)
