@@ -37,16 +37,6 @@
 // verdict per cell, and the setup bytes-per-node that pins the O(N + C²)
 // state bound.
 //
-// The kernel benchmark (-kernel-only) measures the devirtualized contact
-// kernel before/after on the same binary: each rung of a community
-// ladder at N ∈ {10³, 10⁴, 10⁵} runs with Config.ReferenceKernel (the
-// pre-optimization path: Next-per-contact streaming, interface utility
-// dispatch, hooks always invoked) and on the fast path (batched
-// streaming, monomorphic utility kernels, dispatch-free meeting loop),
-// verifies the two produce bit-identical Result digests, and writes
-// BENCH_kernel.json with ns/contact for both modes. In full mode the
-// Static event-path rows are gated at a minimum speedup.
-//
 // CI uploads all of these files so regressions — in throughput, scaling,
 // or memory — are visible across commits.
 //
@@ -196,7 +186,6 @@ func main() {
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the million-node scale-ladder JSON report (empty = skip)")
 	hybridOut := flag.String("hybrid-out", "BENCH_hybrid.json", "output path for the hybrid-vs-event-sim JSON report (empty = skip)")
 	serveOut := flag.String("serve-out", "BENCH_serve.json", "output path for the serving-stack JSON report (empty = skip)")
-	kernelOut := flag.String("kernel-out", "BENCH_kernel.json", "output path for the devirtualized-kernel JSON report (empty = skip)")
 	trialsOnly := flag.Bool("trials-only", false, "run only the trial-engine benchmark")
 	contactsOnly := flag.Bool("contacts-only", false, "run only the contact-pipeline benchmark")
 	batchOnly := flag.Bool("batch-only", false, "run only the batch-vs-sequential benchmark")
@@ -204,10 +193,9 @@ func main() {
 	scaleOnly := flag.Bool("scale-only", false, "run only the structured-rates scale ladder")
 	hybridOnly := flag.Bool("hybrid-only", false, "run only the hybrid-vs-event-sim benchmark")
 	serveOnly := flag.Bool("serve-only", false, "run only the serving-stack benchmark")
-	kernelOnly := flag.Bool("kernel-only", false, "run only the devirtualized-kernel before/after ladder")
 	flag.Parse()
 
-	only := *trialsOnly || *contactsOnly || *batchOnly || *adversaryOnly || *scaleOnly || *hybridOnly || *serveOnly || *kernelOnly
+	only := *trialsOnly || *contactsOnly || *batchOnly || *adversaryOnly || *scaleOnly || *hybridOnly || *serveOnly
 	if !only || *trialsOnly {
 		if err := run(*short, *workers, *out); err != nil {
 			fmt.Fprintln(os.Stderr, "agebench:", err)
@@ -246,12 +234,6 @@ func main() {
 	}
 	if (!only || *serveOnly) && *serveOut != "" {
 		if err := runServe(*short, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "agebench:", err)
-			os.Exit(1)
-		}
-	}
-	if (!only || *kernelOnly) && *kernelOut != "" {
-		if err := runKernel(*short, *kernelOut); err != nil {
 			fmt.Fprintln(os.Stderr, "agebench:", err)
 			os.Exit(1)
 		}

@@ -33,6 +33,31 @@ import (
 	"impatience/internal/serve"
 )
 
+// Connection limits of the HTTP server. A client that trickles its
+// headers or body (slowloris) is cut off instead of holding a
+// connection and its goroutine forever; the write deadline bounds a
+// stalled reader of a large allocation response.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps the handler with the daemon's connection limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func main() {
 	var (
 		addr          = flag.String("addr", ":8642", "listen address")
@@ -85,7 +110,7 @@ func run(cfg serve.Config, addr string, snapshotEvery time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(addr, s.Handler())
 	serveErr := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -86,7 +86,7 @@ func run() error {
 	fmt.Printf("%-6s %16s %12s\n", "scheme", "utility (gain/min)", "loss vs OPT")
 	for _, e := range entries {
 		cfg := impatience.SimConfig{
-			Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: e.policy, Seed: 11,
+			Rho: rho, Utility: u, Pop: pop, Policy: e.policy, Seed: 11,
 		}
 		switch {
 		case e.place != nil:
@@ -96,7 +96,7 @@ func run() error {
 			cfg.Initial = e.counts
 			cfg.NoSticky = true
 		}
-		res, err := impatience.Simulate(cfg)
+		res, err := impatience.Simulate(cfg, tr.Source())
 		if err != nil {
 			return err
 		}

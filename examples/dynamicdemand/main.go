@@ -47,7 +47,7 @@ func run() error {
 
 	play := func(policy impatience.ReplicationPolicy, initial impatience.AllocationCounts) (*impatience.SimResult, error) {
 		cfg := impatience.SimConfig{
-			Rho: rho, Utility: u, Pop: oldPop, Trace: tr, Policy: policy, Seed: 30,
+			Rho: rho, Utility: u, Pop: oldPop, Policy: policy, Seed: 30,
 			BinWidth: duration / 30, RecordCounts: true,
 			DemandSwitch: &newPop, DemandSwitchTime: duration / 2,
 			WarmupFrac: -1, // measure everything; we inspect the series
@@ -56,7 +56,7 @@ func run() error {
 			cfg.Initial = initial
 			cfg.NoSticky = true
 		}
-		return impatience.Simulate(cfg)
+		return impatience.Simulate(cfg, tr.Source())
 	}
 
 	homOld := impatience.Homogeneous{Utility: u, Pop: oldPop, Mu: mu, Servers: nodes, Clients: nodes, PureP2P: true}

@@ -72,9 +72,9 @@ func run() error {
 		Seed:           4,
 	}
 	res, err := impatience.Simulate(impatience.SimConfig{
-		Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: qcr,
+		Rho: rho, Utility: u, Pop: pop, Policy: qcr,
 		ServerCount: kiosks, Seed: 5,
-	})
+	}, tr.Source())
 	if err != nil {
 		return err
 	}

@@ -64,13 +64,13 @@ func run() error {
 				policy, initial = impatience.StaticPolicy{Label: scheme}, impatience.DomAllocation(pop.Rates, tr.Nodes, rho)
 			}
 			sc := impatience.SimConfig{
-				Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: policy, Seed: 31,
+				Rho: rho, Utility: u, Pop: pop, Policy: policy, Seed: 31,
 			}
 			if initial != nil {
 				sc.Initial = initial
 				sc.NoSticky = true
 			}
-			res, err := impatience.Simulate(sc)
+			res, err := impatience.Simulate(sc, tr.Source())
 			if err != nil {
 				return err
 			}

@@ -61,14 +61,14 @@ func run() error {
 
 	play := func(policy impatience.ReplicationPolicy, initial impatience.AllocationCounts) (float64, error) {
 		cfg := impatience.SimConfig{
-			Rho: cacheSlots, Utility: u, Pop: pop, Trace: tr,
+			Rho: cacheSlots, Utility: u, Pop: pop,
 			Policy: policy, Seed: 99,
 		}
 		if initial != nil {
 			cfg.Initial = initial
 			cfg.NoSticky = true
 		}
-		res, err := impatience.Simulate(cfg)
+		res, err := impatience.Simulate(cfg, tr.Source())
 		if err != nil {
 			return 0, err
 		}

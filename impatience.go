@@ -31,8 +31,8 @@
 //		MandateRouting: true,
 //	}
 //	res, _ := impatience.Simulate(impatience.SimConfig{
-//		Rho: 5, Utility: u, Pop: pop, Trace: tr, Policy: qcr,
-//	})
+//		Rho: 5, Utility: u, Pop: pop, Policy: qcr,
+//	}, tr.Source())
 //	fmt.Println(res.AvgUtilityRate, hom.WelfareCounts(opt))
 //
 // See examples/ for complete programs and DESIGN.md for the mapping from
@@ -101,6 +101,9 @@ type (
 	Trace = trace.Trace
 	// Contact is one meeting.
 	Contact = trace.Contact
+	// ContactSource streams contacts in time order; a Trace streams as
+	// tr.Source().
+	ContactSource = trace.Source
 	// RateMatrix holds pairwise contact intensities µ_{m,n}.
 	RateMatrix = trace.RateMatrix
 )
@@ -213,8 +216,8 @@ func PathReplication(scale float64) ReactionFunc { return core.PathReplication(s
 // ConstantReaction is ψ(y) = c (proportional equilibrium).
 func ConstantReaction(c float64) ReactionFunc { return core.ConstantReaction(c) }
 
-// Simulate runs the discrete-event simulation.
-func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
+// Simulate runs the discrete-event simulation over the contact source.
+func Simulate(cfg SimConfig, src ContactSource) (*SimResult, error) { return sim.Run(cfg, src) }
 
 // MeanField is the Eq.-7 fluid model of QCR's replica dynamics.
 type MeanField = meanfield.System

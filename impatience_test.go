@@ -42,8 +42,8 @@ func TestEndToEnd(t *testing.T) {
 		Seed:           3,
 	}
 	res, err := impatience.Simulate(impatience.SimConfig{
-		Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: qcr, Seed: 4,
-	})
+		Rho: rho, Utility: u, Pop: pop, Policy: qcr, Seed: 4,
+	}, tr.Source())
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}

@@ -98,9 +98,9 @@ func TestAdaptivePolicyConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	resA, err := sim.Run(sim.Config{
-		Rho: rho, Utility: truth, Pop: pop, Trace: tr, Policy: adaptivePolicy,
+		Rho: rho, Utility: truth, Pop: pop, Policy: adaptivePolicy,
 		Seed: 10, WarmupFrac: 0.3,
-	})
+	}, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestAdaptivePolicyConvergence(t *testing.T) {
 		MandateRouting: true, StrictSource: true, MaxMandates: 5, Seed: 9,
 	}
 	resO, err := sim.Run(sim.Config{
-		Rho: rho, Utility: truth, Pop: pop, Trace: tr, Policy: oracle,
+		Rho: rho, Utility: truth, Pop: pop, Policy: oracle,
 		Seed: 10, WarmupFrac: 0.3,
-	})
+	}, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

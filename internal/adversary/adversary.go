@@ -23,8 +23,8 @@
 // nothing afterwards, so a run with the layer disabled — or a config
 // whose Enabled() is false — is byte-identical to a run built before
 // this package existed. The layer composes with fault injection
-// (internal/faults): both can be active in one run, in both sim.Run and
-// sim.RunBatch.
+// (internal/faults): both can be active in one run, alone or in a
+// lockstep batch (sim.RunBatchSharded).
 package adversary
 
 import (

@@ -118,7 +118,7 @@ func AblationRewriting(sc Scenario, f utility.Function) (*plot.Table, error) {
 		if err != nil {
 			return [2]float64{}, err
 		}
-		results, err := sim.RunBatch(cfgs, pass)
+		results, err := sim.RunBatchSharded(cfgs, pass, 1)
 		if err != nil {
 			return [2]float64{}, err
 		}
@@ -216,11 +216,11 @@ func DynamicDemand(sc Scenario, f utility.Function) (*plot.Table, error) {
 		}
 		q := sc.qcrPolicy(f, sc.Mu, true, sc.Seed*7919+uint64(trial))
 		res, err := sim.Run(sim.Config{
-			Rho: sc.Rho, Utility: f, Pop: pop, Contacts: src, Policy: q,
+			Rho: sc.Rho, Utility: f, Pop: pop, Policy: q,
 			Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
 			BinWidth: sc.Duration / 100, RecordCounts: true,
 			DemandSwitch: &flipped, DemandSwitchTime: switchT,
-		})
+		}, src)
 		if err != nil {
 			return trialOut{}, err
 		}
@@ -339,7 +339,7 @@ func ReactionComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := sim.RunBatch(cfgs, pass)
+		results, err := sim.RunBatchSharded(cfgs, pass, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -278,15 +278,14 @@ func (sc Scenario) runScheme(scheme string, u utility.Function, tr *trace.Trace,
 	if err != nil {
 		return nil, err
 	}
-	cfg.Trace = tr
-	return sim.Run(cfg)
+	return sim.Run(cfg, tr.Source())
 }
 
-// schemeConfig builds one scheme's simulation config for one trial,
-// leaving the contact input (Trace or Contacts) for the caller to wire:
-// runScheme replays a materialized trace, the batch executor streams one
-// shared source through every scheme's config. Both paths run the exact
-// same config — seeds included — so they are bit-identical.
+// schemeConfig builds one scheme's simulation config for one trial; the
+// contact source is the caller's: runScheme replays a materialized
+// trace, the batch path streams one shared source through every
+// scheme's config. Both run the exact same config — seeds included — so
+// they are bit-identical.
 func (sc Scenario) schemeConfig(scheme string, u utility.Function, rates *trace.RateMatrix, mu float64, trial uint64, series bool, plan *FaultPlan) (sim.Config, error) {
 	pop := sc.Pop()
 	cfg := sim.Config{
@@ -343,7 +342,7 @@ type Comparison struct {
 
 // RunComparison runs every scheme on the same per-trial contact streams
 // and aggregates utilities and losses vs OPT. Each trial is one shared
-// pass of the batch executor (sim.RunBatch): the source is streamed once
+// pass of the batch executor (sim.RunBatchSharded): the source is streamed once
 // for the empirical rates and once, in lockstep, for every scheme — no
 // materialized contact list, bit-identical to the sequential path
 // (RunComparisonSequential). Trials execute on the parallel trial engine

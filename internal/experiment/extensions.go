@@ -147,7 +147,7 @@ func MixedCatalog(sc Scenario) (*plot.Table, error) {
 		cfgO.NoSticky = true
 		// No static scheme needs empirical rates here, so the three
 		// variants run on a single pass of the contact stream.
-		results, err := sim.RunBatch([]sim.Config{cfgT, cfgM, cfgO}, src)
+		results, err := sim.RunBatchSharded([]sim.Config{cfgT, cfgM, cfgO}, src, 1)
 		if err != nil {
 			return [3]float64{}, err
 		}
@@ -217,9 +217,9 @@ func AdaptiveImpatience(sc Scenario, nu float64) (*plot.Table, error) {
 			},
 		}
 		resA, err := sim.Run(sim.Config{
-			Rho: sc.Rho, Utility: truth, Pop: pop, Contacts: adaptivePass, Policy: pol,
+			Rho: sc.Rho, Utility: truth, Pop: pop, Policy: pol,
 			Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-		})
+		}, adaptivePass)
 		if err != nil {
 			return [4]float64{}, err
 		}
@@ -299,7 +299,7 @@ func DedicatedKiosks(sc Scenario, servers int) (*plot.Table, error) {
 		cfgO.Policy = core.Static{Label: "opt"}
 		cfgO.Initial = opt
 		cfgO.NoSticky = true
-		results, err := sim.RunBatch([]sim.Config{cfgQ, cfgO}, src)
+		results, err := sim.RunBatchSharded([]sim.Config{cfgQ, cfgO}, src, 1)
 		if err != nil {
 			return [2]float64{}, err
 		}

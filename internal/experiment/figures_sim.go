@@ -47,7 +47,7 @@ func Figure3(sc Scenario) ([]*plot.Table, error) {
 		tops                 [5][]float64
 	}
 	// Both variants run on one shared pass of each trial's contact
-	// stream (sim.RunBatch); per-scheme results are bit-identical to the
+	// stream (sim.RunBatchSharded); per-scheme results are bit-identical to the
 	// former one-scheme-at-a-time collection.
 	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]*trialSeries, error) {
 		src, err := gen(seed)

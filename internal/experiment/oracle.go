@@ -34,7 +34,6 @@ func (sc Scenario) RunStaticStream(u utility.Function, initial alloc.Counts, tri
 		Rho:          sc.Rho,
 		Utility:      u,
 		Pop:          sc.Pop(),
-		Contacts:     src,
 		Policy:       core.Static{Label: "oracle"},
 		Initial:      initial,
 		NoSticky:     true,
@@ -42,7 +41,7 @@ func (sc Scenario) RunStaticStream(u utility.Function, initial alloc.Counts, tri
 		WarmupFrac:   sc.WarmupFrac,
 		RecordDelays: recordDelays,
 	}
-	return sim.Run(cfg)
+	return sim.Run(cfg, src)
 }
 
 // RunStaticHybrid is RunStaticStream's mean-field twin: the same static

@@ -151,12 +151,11 @@ func (sc Scenario) StreamingScale(u utility.Function, trial uint64) (*ScaleRepor
 		Rho:        sc.Rho,
 		Utility:    u,
 		Pop:        sc.Pop(),
-		Contacts:   m,
 		Policy:     sc.qcrPolicy(u, sc.Mu, true, sc.Seed*7919+trial),
 		Seed:       sc.Seed*1_000_003 + trial*101,
 		WarmupFrac: sc.WarmupFrac,
 	}
-	res, err := sim.Run(cfg)
+	res, err := sim.Run(cfg, m)
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"impatience/internal/meanfield"
 	"impatience/internal/numeric"
 	"impatience/internal/sim"
+	"impatience/internal/trace"
 	"impatience/internal/utility"
 	"impatience/internal/welfare"
 )
@@ -214,11 +215,11 @@ func (s *session) checkGreedyRelaxedSandwich() CheckResult {
 	return res
 }
 
-// checkStreamVsMaterialized runs the identical contact sequence through
-// the two simulator front ends — a materialized trace (Config.Trace) and
-// its streaming Source — under both a static policy and QCR, and
-// requires bit-identical digests: the streaming pipeline must be a pure
-// refactoring of the materialized one.
+// checkStreamVsMaterialized runs the identical contact sequence from its
+// two origins — a materialized trace and the replay generator streaming
+// the same draws without storing them — under both a static policy and
+// QCR, and requires bit-identical digests: the streaming pipeline must
+// be a pure refactoring of the materialized one.
 func (s *session) checkStreamVsMaterialized() CheckResult {
 	res := CheckResult{Pass: true, Seed: s.cfg.Seed}
 	const nodes, mu, dur = 40, 0.05, 1500.0
@@ -264,12 +265,14 @@ func (s *session) checkStreamVsMaterialized() CheckResult {
 			if noSticky {
 				cfg.Initial = opt
 			}
-			if streaming {
-				cfg.Contacts = tr.Source()
-			} else {
-				cfg.Trace = tr
+			if !streaming {
+				return sim.Run(cfg, tr.Source())
 			}
-			return sim.Run(cfg)
+			src, err := contact.NewReplayStream(trace.UniformRates(nodes, mu), dur, seed, seed^0xabcdef)
+			if err != nil {
+				return nil, err
+			}
+			return sim.Run(cfg, src)
 		}
 		mat, err := run(false)
 		if err != nil {

@@ -18,7 +18,7 @@
 //
 // The unit of parallelism is one whole trial, not one (trial, scheme)
 // pair: inside a trial the schemes share a single contact stream and
-// run in lockstep on the batch executor (sim.RunBatch), so splitting
+// run in lockstep on the batch executor (sim.RunBatchSharded), so splitting
 // them across workers would force the stream to be either replayed per
 // scheme or materialized — the two costs the batch executor exists to
 // avoid. Workers therefore scale across trials while each trial stays
@@ -79,7 +79,8 @@ func RunTrials[T any](n, workers int, baseSeed uint64, fn func(trial int, seed u
 
 // RunTrialsContext is RunTrials with external cancellation: ctx
 // cancellation stops dispatching new trials and is reported as the
-// context's error unless a trial failed first.
+// context's error unless a trial failed first. A trial that panics
+// fails with the panic as its error instead of killing the process.
 func RunTrialsContext[T any](ctx context.Context, n, workers int, baseSeed uint64, fn func(trial int, seed uint64) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("parallel: %d trials", n)
@@ -97,7 +98,7 @@ func RunTrialsContext[T any](ctx context.Context, n, workers int, baseSeed uint6
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			v, err := fn(trial, TrialSeed(baseSeed, trial))
+			v, err := call(fn, trial, TrialSeed(baseSeed, trial))
 			if err != nil {
 				return nil, fmt.Errorf("parallel: trial %d: %w", trial, err)
 			}
@@ -132,7 +133,7 @@ func RunTrialsContext[T any](ctx context.Context, n, workers int, baseSeed uint6
 				if trial >= n || cctx.Err() != nil {
 					return
 				}
-				v, err := fn(trial, TrialSeed(baseSeed, trial))
+				v, err := call(fn, trial, TrialSeed(baseSeed, trial))
 				if err != nil {
 					fail(trial, err)
 					return
@@ -149,4 +150,14 @@ func RunTrialsContext[T any](ctx context.Context, n, workers int, baseSeed uint6
 		return nil, err
 	}
 	return out, nil
+}
+
+// call runs one trial, turning a panic into the trial's error.
+func call[T any](fn func(trial int, seed uint64) (T, error), trial int, seed uint64) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return fn(trial, seed)
 }

@@ -114,6 +114,28 @@ func TestRunTrialsFirstError(t *testing.T) {
 	}
 }
 
+// TestRunTrialsContainsPanics: a panicking trial fails the run with an
+// error naming it, identically at one and two workers, instead of
+// killing the process.
+func TestRunTrialsContainsPanics(t *testing.T) {
+	var errs []string
+	for _, workers := range []int{1, 2} {
+		_, err := RunTrials(8, workers, 0, func(trial int, seed uint64) (int, error) {
+			if trial == 3 {
+				panic(fmt.Sprintf("boom %d", trial))
+			}
+			return trial, nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: panic not reported", workers)
+		}
+		errs = append(errs, err.Error())
+	}
+	if want := "parallel: trial 3: panic: boom 3"; errs[0] != want || errs[1] != want {
+		t.Errorf("errors %q, want %q at both worker counts", errs, want)
+	}
+}
+
 // TestRunTrialsCancellation checks an error stops dispatching further
 // trials rather than running all n to completion.
 func TestRunTrialsCancellation(t *testing.T) {

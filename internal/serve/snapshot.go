@@ -53,7 +53,8 @@ func (s *Server) snapConfig() snapConfig {
 
 // Snapshot atomically persists the estimator and allocation state to the
 // configured snapshot path (write to a temp file in the same directory,
-// fsync, rename) and returns the number of bytes written.
+// fsync, rename, fsync the directory) and returns the number of bytes
+// written.
 func (s *Server) Snapshot() (int, error) {
 	if s.cfg.SnapshotPath == "" {
 		return 0, fmt.Errorf("serve: no snapshot path configured")
@@ -94,7 +95,25 @@ func (s *Server) Snapshot() (int, error) {
 	if err := os.Rename(tmp.Name(), s.cfg.SnapshotPath); err != nil {
 		return 0, err
 	}
+	// The rename lives in the directory: sync it too, or a crash can
+	// lose the new name and leave the previous snapshot in place.
+	if err := syncDir(dir); err != nil {
+		return 0, err
+	}
 	return len(data), nil
+}
+
+// syncDir flushes a directory's entries to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Restore loads a snapshot from the configured path and installs it:

@@ -10,12 +10,12 @@ import (
 	"impatience/internal/demand"
 )
 
-// adversarialConfig builds a run with every misbehavior class active.
-// Policies are stateful, so each call constructs fresh ones.
+// adversarialConfig builds a run with every misbehavior class active,
+// to be driven by layerTrace. Policies are stateful, so each call
+// constructs fresh ones.
 func adversarialConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
-	tr := smallTrace(t, 20, 0.05, 600, 11)
-	cfg := baseConfig(t, tr, &core.QCR{
+	cfg := baseConfig(t, &core.QCR{
 		Reaction:       core.PathReplication(0.5),
 		MandateRouting: true,
 		StrictSource:   true,
@@ -43,13 +43,13 @@ func adversarialConfig(t *testing.T, seed uint64) Config {
 func TestAdversaryNilAndZeroConfigAgree(t *testing.T) {
 	play := func(ac *adversary.Config) *Result {
 		tr := smallTrace(t, 15, 0.05, 500, 4)
-		cfg := baseConfig(t, tr, &core.QCR{
+		cfg := baseConfig(t, &core.QCR{
 			Reaction:       core.PathReplication(0.5),
 			MandateRouting: true,
 			Seed:           9,
 		})
 		cfg.Adversary = ac
-		res, err := Run(cfg)
+		res, err := Run(cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -69,7 +69,7 @@ func TestAdversaryNilAndZeroConfigAgree(t *testing.T) {
 // misbehavior classes enabled — produce byte-identical Results.
 func TestDeterminismWithAdversaries(t *testing.T) {
 	encode := func() []byte {
-		res, err := Run(adversarialConfig(t, 5))
+		res, err := Run(adversarialConfig(t, 5), layerTrace(t).Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -88,7 +88,7 @@ func TestDeterminismWithAdversaries(t *testing.T) {
 // TestAdversaryTallyPopulated: an adversarial run reports its roles and
 // every misbehavior class it injected.
 func TestAdversaryTallyPopulated(t *testing.T) {
-	res, err := Run(adversarialConfig(t, 7))
+	res, err := Run(adversarialConfig(t, 7), layerTrace(t).Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -118,13 +118,13 @@ func TestAdversaryTallyPopulated(t *testing.T) {
 // only immediate local hits on the initial allocation remain.
 func TestFreeRidersNeverServeOrStore(t *testing.T) {
 	tr := smallTrace(t, 15, 0.05, 500, 4)
-	cfg := baseConfig(t, tr, &core.QCR{
+	cfg := baseConfig(t, &core.QCR{
 		Reaction:       core.PathReplication(1),
 		MandateRouting: true,
 		Seed:           9,
 	})
 	cfg.Adversary = &adversary.Config{FreeRiderFrac: 1, Seed: 3}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestFreeRidersNeverServeOrStore(t *testing.T) {
 func TestDishonestInflationAmplifiesReplication(t *testing.T) {
 	play := func(ac *adversary.Config) *Result {
 		tr := smallTrace(t, 20, 0.05, 600, 11)
-		cfg := baseConfig(t, tr, &core.QCR{
+		cfg := baseConfig(t, &core.QCR{
 			Reaction:       core.PathReplication(0.5),
 			MandateRouting: true,
 			StrictSource:   true,
@@ -159,7 +159,7 @@ func TestDishonestInflationAmplifiesReplication(t *testing.T) {
 		})
 		cfg.Seed = 6
 		cfg.Adversary = ac
-		res, err := Run(cfg)
+		res, err := Run(cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -182,7 +182,7 @@ func TestDishonestInflationAmplifiesReplication(t *testing.T) {
 func TestHardenedQCRTamesInflation(t *testing.T) {
 	play := func(h *core.Hardening) *Result {
 		tr := smallTrace(t, 20, 0.05, 600, 11)
-		cfg := baseConfig(t, tr, &core.QCR{
+		cfg := baseConfig(t, &core.QCR{
 			Reaction:       core.PathReplication(0.5),
 			MandateRouting: true,
 			StrictSource:   true,
@@ -192,7 +192,7 @@ func TestHardenedQCRTamesInflation(t *testing.T) {
 		})
 		cfg.Seed = 6
 		cfg.Adversary = &adversary.Config{DishonestFrac: 0.3, Mult: 50, Seed: 21}
-		res, err := Run(cfg)
+		res, err := Run(cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -211,27 +211,21 @@ func TestHardenedQCRTamesInflation(t *testing.T) {
 
 // TestRunBatchMatchesSequentialWithAdversaries: the misbehavior layer —
 // counter inflation, free-riders, and the popularity-churn schedule —
-// behaves bit-identically under the lockstep batch executor and the
-// sequential path.
+// behaves bit-identically when the run shares a two-shard batch with a
+// clean config and when it runs alone.
 func TestRunBatchMatchesSequentialWithAdversaries(t *testing.T) {
-	tr := smallTrace(t, 20, 0.05, 600, 11)
-	mk := func() Config {
-		cfg := adversarialConfig(t, 13)
-		cfg.Trace = nil // the batch executor supplies the shared stream
-		return cfg
-	}
-	seqCfg := mk()
-	seqCfg.Trace = tr
-	seq, err := Run(seqCfg)
+	tr := layerTrace(t)
+	seq, err := Run(adversarialConfig(t, 13), tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	batch, err := RunBatch([]Config{mk()}, tr.Source())
+	clean := baseConfig(t, core.Static{Label: "uni"})
+	batch, err := RunBatchSharded([]Config{adversarialConfig(t, 13), clean}, tr.Source(), 2)
 	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
+		t.Fatalf("RunBatchSharded: %v", err)
 	}
 	if seq.Digest() != batch[0].Digest() {
-		t.Fatal("adversarial batch run diverged from the sequential path")
+		t.Fatal("adversarial batch run diverged from the solo run")
 	}
 	if batch[0].Adversary == nil || batch[0].Adversary.DemandShifts != 2 {
 		t.Fatalf("batch tally = %+v, want 2 demand shifts", batch[0].Adversary)

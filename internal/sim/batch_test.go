@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"impatience/internal/core"
@@ -14,16 +15,14 @@ import (
 // allocation, a live QCR, and a fault-ridden hardened QCR (churn, lossy
 // meetings with truncated transfers, mandate drops) with the full
 // recording surface (delays, bins, counts) enabled. Policies are
-// stateful, so every call constructs fresh ones. Trace/Contacts are left
-// unset — the batch executor supplies the shared stream; the sequential
-// comparison sets them per call.
+// stateful, so every call constructs fresh ones.
 func batchSchemes(t *testing.T) []Config {
 	t.Helper()
-	static := baseConfig(t, nil, core.Static{Label: "uni"})
+	static := baseConfig(t, core.Static{Label: "uni"})
 	static.Seed = 21
 	static.RecordDelays = true
 
-	qcr := baseConfig(t, nil, &core.QCR{
+	qcr := baseConfig(t, &core.QCR{
 		Reaction:       core.TunedReaction(utility.Step{Tau: 10}, 0.05, 14, 1),
 		MandateRouting: true,
 		StrictSource:   true,
@@ -32,7 +31,7 @@ func batchSchemes(t *testing.T) []Config {
 	qcr.Seed = 22
 	qcr.BinWidth = 80
 
-	faulty := baseConfig(t, nil, &core.QCR{
+	faulty := baseConfig(t, &core.QCR{
 		Reaction:       core.PathReplication(0.5),
 		MandateRouting: true,
 		StrictSource:   true,
@@ -58,86 +57,34 @@ func batchSchemes(t *testing.T) []Config {
 	return []Config{static, qcr, faulty}
 }
 
-// TestRunBatchMatchesSequential is the batch executor's correctness
-// anchor: M runners stepped in lockstep over one shared stream must be
-// bit-identical — same Digest — to M sequential Runs each replaying the
-// materialized trace on its own. Covers static, QCR, and a fault
-// timeline with truncated meetings; run under -race in CI.
-func TestRunBatchMatchesSequential(t *testing.T) {
-	tr := smallTrace(t, 14, 0.05, 700, 13)
-
-	want := make([]uint64, len(batchSchemes(t)))
-	for i, cfg := range batchSchemes(t) {
-		cfg.Trace = tr
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("sequential Run %d: %v", i, err)
-		}
-		want[i] = res.Digest()
-	}
-
-	got, err := RunBatch(batchSchemes(t), tr.Source())
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	for i, res := range got {
-		if res.Digest() != want[i] {
-			t.Errorf("scheme %d: batch digest %#x != sequential %#x", i, res.Digest(), want[i])
-		}
-	}
-
-	// Streaming-source equivalence: the same batch over a reopened view
-	// of the same contacts reproduces itself.
-	src := tr.Source()
-	re, err := src.Reopen()
-	if err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
-	again, err := RunBatch(batchSchemes(t), re)
-	if err != nil {
-		t.Fatalf("RunBatch (reopened): %v", err)
-	}
-	for i, res := range again {
-		if res.Digest() != want[i] {
-			t.Errorf("scheme %d: reopened batch digest %#x != sequential %#x", i, res.Digest(), want[i])
-		}
-	}
-}
-
 // TestRunBatchValidation: malformed batches fail up front with the
 // offending config identified, and contract violations in the shared
 // stream abort the whole batch.
 func TestRunBatchValidation(t *testing.T) {
 	tr := smallTrace(t, 14, 0.05, 200, 3)
 
-	if _, err := RunBatch(nil, tr.Source()); err == nil {
+	if _, err := RunBatchSharded(nil, tr.Source(), 1); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := RunBatch(batchSchemes(t), nil); err == nil {
+	if _, err := RunBatchSharded(batchSchemes(t), nil, 1); err == nil {
 		t.Error("nil source accepted")
 	}
 
-	withTrace := batchSchemes(t)
-	withTrace[1].Trace = tr
-	if _, err := RunBatch(withTrace, tr.Source()); err == nil {
-		t.Error("batch config with Trace set accepted")
+	bad := batchSchemes(t)
+	bad[1].Rho = 0
+	if _, err := RunBatchSharded(bad, tr.Source(), 1); err == nil || !strings.Contains(err.Error(), "batch config 1") {
+		t.Errorf("invalid config 1: error %v does not name it", err)
 	}
 
-	withStream := batchSchemes(t)
-	withStream[0].Contacts = tr.Source()
-	if _, err := RunBatch(withStream, tr.Source()); err == nil {
-		t.Error("batch config with Contacts set accepted")
-	}
-
-	tiny := (&trace.Trace{Nodes: 1, Duration: 100}).Source()
-	if _, err := RunBatch(batchSchemes(t), tiny); err == nil {
-		t.Error("1-node source accepted")
+	empty := (&trace.Trace{Nodes: 0, Duration: 100}).Source()
+	if _, err := RunBatchSharded(batchSchemes(t), empty, 1); err == nil {
+		t.Error("0-node source accepted")
 	}
 
 	disordered := (&trace.Trace{Nodes: 14, Duration: 100, Contacts: []trace.Contact{
 		{T: 50, A: 0, B: 1}, {T: 10, A: 1, B: 2},
 	}}).Source()
-	if _, err := RunBatch(batchSchemes(t), disordered); err == nil {
+	if _, err := RunBatchSharded(batchSchemes(t), disordered, 1); err == nil {
 		t.Error("out-of-order shared stream accepted")
 	}
 }
@@ -169,15 +116,10 @@ func TestBatchStepZeroAllocSteadyState(t *testing.T) {
 	cfgs := []Config{mk(core.Static{Label: "uni"}, 5), mk(core.Static{Label: "sqrt"}, 6)}
 	runners := make([]*runner, len(cfgs))
 	for i := range cfgs {
-		cfg := cfgs[i]
-		if err := validateBatch(&cfg, nodes, duration); err != nil {
-			t.Fatalf("validateBatch: %v", err)
-		}
-		r, err := buildRunner(&cfg, nodes, duration)
+		r, err := newRunner(&cfgs[i], nodes, duration)
 		if err != nil {
-			t.Fatalf("buildRunner: %v", err)
+			t.Fatalf("newRunner: %v", err)
 		}
-		r.checked = true
 		runners[i] = r
 	}
 	var pairs []trace.Contact
@@ -225,12 +167,11 @@ func BenchmarkUtilityFor(b *testing.B) {
 		Utility:   utility.Step{Tau: 10},
 		Utilities: utils,
 		Pop:       demand.Uniform(items, 1),
-		Trace:     &trace.Trace{Nodes: 8, Duration: 100},
 		Policy:    core.Static{Label: "uni"},
 		NoSticky:  true,
 		Seed:      1,
 	}
-	r, err := newRunner(&cfg)
+	r, err := newRunner(&cfg, 8, 100)
 	if err != nil {
 		b.Fatalf("newRunner: %v", err)
 	}

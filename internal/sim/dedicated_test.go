@@ -26,12 +26,12 @@ func TestDedicatedBasics(t *testing.T) {
 	tr := smallTrace(t, nodes, 0.08, 2000, 31)
 	cfg := Config{
 		Rho: rho, Utility: utility.NegLog{}, Pop: demand.Pareto(items, 1, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 7,
+		Policy: core.Static{}, Seed: 7,
 		ServerCount: servers,
 		Initial:     alloc.Uniform(items, servers, rho),
 		NoSticky:    true,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -48,14 +48,14 @@ func TestDedicatedBasics(t *testing.T) {
 
 func TestDedicatedRejectsBadServerCount(t *testing.T) {
 	tr := smallTrace(t, 10, 0.05, 100, 32)
-	cfg := baseConfig(t, tr, core.Static{})
+	cfg := baseConfig(t, core.Static{})
 	cfg.NoSticky = true
 	cfg.ServerCount = 10 // == nodes: no clients left
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("ServerCount == nodes accepted")
 	}
 	cfg.ServerCount = -2
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("negative ServerCount accepted")
 	}
 }
@@ -65,10 +65,10 @@ func TestDedicatedRejectsDemandAtServers(t *testing.T) {
 	profile := demand.UniformProfile(3, 6) // gives demand to servers 0..1 too
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 5}, Pop: demand.Uniform(3, 1),
-		Profile: profile, Trace: tr, Policy: core.Static{}, Seed: 1,
+		Profile: profile, Policy: core.Static{}, Seed: 1,
 		ServerCount: 2, NoSticky: true, Initial: alloc.Counts{1, 1, 0},
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("profile with server demand accepted in dedicated mode")
 	}
 }
@@ -77,15 +77,15 @@ func TestDedicatedPureP2PUtilityGateLifted(t *testing.T) {
 	tr := smallTrace(t, 10, 0.05, 200, 34)
 	cfg := Config{
 		Rho: 2, Utility: utility.Power{Alpha: 1.5}, Pop: demand.Uniform(4, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 1,
+		Policy: core.Static{}, Seed: 1,
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("unbounded utility accepted in pure P2P")
 	}
 	cfg.ServerCount = 3
 	cfg.Initial = alloc.Uniform(4, 3, 2)
 	cfg.NoSticky = true
-	if _, err := Run(cfg); err != nil {
+	if _, err := Run(cfg, tr.Source()); err != nil {
 		t.Errorf("unbounded utility rejected in dedicated mode: %v", err)
 	}
 }
@@ -107,10 +107,10 @@ func TestDedicatedObservedMatchesEq3(t *testing.T) {
 	counts := alloc.Sqrt(pop.Rates, servers, rho)
 	cfg := Config{
 		Rho: rho, Utility: utility.Exponential{Nu: 0.2}, Pop: pop,
-		Trace: tr, Policy: core.Static{}, Seed: 36,
+		Policy: core.Static{}, Seed: 36,
 		ServerCount: servers, Initial: counts, NoSticky: true,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestDedicatedQCRReplicates(t *testing.T) {
 	}
 	cfg := Config{
 		Rho: rho, Utility: utility.NegLog{}, Pop: demand.Pareto(items, 1, 2),
-		Trace: tr, Policy: q, Seed: 38,
+		Policy: q, Seed: 38,
 		ServerCount: servers,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

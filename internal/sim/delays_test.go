@@ -29,16 +29,16 @@ func TestRecordDelaysDigestStability(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plain := baseConfig(t, tr, tc.pol())
+			plain := baseConfig(t, tc.pol())
 			plain.BinWidth = 80
-			want, err := Run(plain)
+			want, err := Run(plain, tr.Source())
 			if err != nil {
 				t.Fatalf("plain Run: %v", err)
 			}
-			rec := baseConfig(t, tr, tc.pol())
+			rec := baseConfig(t, tc.pol())
 			rec.BinWidth = 80
 			rec.RecordDelays = true
-			got, err := Run(rec)
+			got, err := Run(rec, tr.Source())
 			if err != nil {
 				t.Fatalf("recording Run: %v", err)
 			}

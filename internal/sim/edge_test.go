@@ -52,7 +52,6 @@ func TestQueryCounterSemantics(t *testing.T) {
 		Utility:    utility.Step{Tau: 50},
 		Pop:        pop,
 		Profile:    profile,
-		Trace:      tr,
 		Policy:     rec,
 		Initial:    alloc.Counts{1, 0}, // single copy of item 0...
 		NoSticky:   true,
@@ -64,7 +63,7 @@ func TestQueryCounterSemantics(t *testing.T) {
 	p.Set(0, 2, true)
 	cfg.Initial = nil
 	cfg.InitialPlacement = p
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -97,13 +96,13 @@ func TestGainUsesRequestAge(t *testing.T) {
 	profile := demand.Profile{P: [][]float64{{1, 0}}}
 	cfg := Config{
 		Rho: 1, Utility: utility.Power{Alpha: 0} /* h(t) = -t */, Pop: pop,
-		Profile: profile, Trace: tr, Policy: core.Static{},
+		Profile: profile, Policy: core.Static{},
 		NoSticky: true, Seed: 3, WarmupFrac: -1,
 	}
 	p := alloc.NewPlacement(1, 2, 1)
 	p.Set(0, 1, true)
 	cfg.InitialPlacement = p
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -131,9 +130,9 @@ func TestWriteFailsWhenAllSlotsSticky(t *testing.T) {
 	q := &core.QCR{Reaction: core.PathReplication(5), MandateRouting: true, Seed: 1}
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 100}, Pop: demand.Uniform(2, 5),
-		Trace: tr, Policy: q, Seed: 2, WarmupFrac: -1,
+		Policy: q, Seed: 2, WarmupFrac: -1,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -151,9 +150,9 @@ func TestStickyPlacementExceedingCapacity(t *testing.T) {
 	tr := &trace.Trace{Nodes: 2, Duration: 10}
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 1}, Pop: demand.Uniform(3, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 1,
+		Policy: core.Static{}, Seed: 1,
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("3 sticky items on 2 single-slot nodes accepted")
 	}
 }
@@ -165,21 +164,21 @@ func TestInitialPlacementValidation(t *testing.T) {
 	p.Set(0, 0, true)
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 1}, Pop: demand.Uniform(1, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 1,
+		Policy: core.Static{}, Seed: 1,
 		InitialPlacement: p, // NoSticky not set → must fail
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("InitialPlacement without NoSticky accepted")
 	}
 	cfg.NoSticky = true
-	if _, err := Run(cfg); err != nil {
+	if _, err := Run(cfg, tr.Source()); err != nil {
 		t.Errorf("valid placement rejected: %v", err)
 	}
 	// Shape mismatch.
 	bad := alloc.NewPlacement(2, 2, 1)
 	cfg.InitialPlacement = bad
 	cfg.Pop = demand.Uniform(1, 1)
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, tr.Source()); err == nil {
 		t.Error("placement with wrong item count accepted")
 	}
 }
@@ -199,10 +198,10 @@ func TestMultipleOutstandingRequestsSameItem(t *testing.T) {
 	p.Set(0, 1, true)
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 10000}, Pop: pop, Profile: profile,
-		Trace: tr, Policy: rec, NoSticky: true, InitialPlacement: p,
+		Policy: rec, NoSticky: true, InitialPlacement: p,
 		Seed: 9, WarmupFrac: -1,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -241,9 +240,9 @@ func TestWarmupExcludesEarlyGains(t *testing.T) {
 	mk := func(warmup float64) *Result {
 		res, err := Run(Config{
 			Rho: 1, Utility: utility.Step{Tau: 1e6}, Pop: pop, Profile: profile,
-			Trace: tr, Policy: core.Static{}, NoSticky: true, InitialPlacement: p,
+			Policy: core.Static{}, NoSticky: true, InitialPlacement: p,
 			Seed: 4, WarmupFrac: warmup,
-		})
+		}, tr.Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

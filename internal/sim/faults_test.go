@@ -11,11 +11,11 @@ import (
 )
 
 // faultyConfig builds a run with every fault class active and a hardened
-// QCR policy. Policies are stateful, so each call constructs fresh ones.
+// QCR policy, to be driven by layerTrace. Policies are stateful, so each
+// call constructs fresh ones.
 func faultyConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
-	tr := smallTrace(t, 20, 0.05, 600, 11)
-	cfg := baseConfig(t, tr, &core.QCR{
+	cfg := baseConfig(t, &core.QCR{
 		Reaction:       core.PathReplication(0.5),
 		MandateRouting: true,
 		StrictSource:   true,
@@ -45,7 +45,7 @@ func faultyConfig(t *testing.T, seed uint64) Config {
 // Results.
 func TestDeterminismWithFaults(t *testing.T) {
 	encode := func() []byte {
-		res, err := Run(faultyConfig(t, 5))
+		res, err := Run(faultyConfig(t, 5), layerTrace(t).Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -67,14 +67,14 @@ func TestDeterminismWithFaults(t *testing.T) {
 func TestFaultsNilAndZeroConfigAgree(t *testing.T) {
 	play := func(fc *faults.Config) *Result {
 		tr := smallTrace(t, 15, 0.05, 500, 4)
-		cfg := baseConfig(t, tr, &core.QCR{
+		cfg := baseConfig(t, &core.QCR{
 			Reaction:       core.PathReplication(0.5),
 			MandateRouting: true,
 			MaxMandates:    5,
 			Seed:           9,
 		})
 		cfg.Faults = fc
-		res, err := Run(cfg)
+		res, err := Run(cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -99,7 +99,7 @@ func TestFaultsNilAndZeroConfigAgree(t *testing.T) {
 func TestChurnConservation(t *testing.T) {
 	cfg := faultyConfig(t, 21)
 	pol := cfg.Policy.(*core.QCR)
-	res, err := Run(cfg)
+	res, err := Run(cfg, layerTrace(t).Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestChurnConservation(t *testing.T) {
 // re-seeding path re-pins wiped sticky items on later fulfillments.
 func TestMassCrashReplicaDrop(t *testing.T) {
 	tr := smallTrace(t, 20, 0.05, 600, 8)
-	cfg := baseConfig(t, tr, &core.QCR{
+	cfg := baseConfig(t, &core.QCR{
 		Reaction:       core.PathReplication(0.5),
 		MandateRouting: true,
 		MaxMandates:    5,
@@ -151,7 +151,7 @@ func TestMassCrashReplicaDrop(t *testing.T) {
 	cfg.BinWidth = 30
 	cfg.RecordCounts = true
 	cfg.Faults = &faults.Config{MassCrashTime: 300, MassCrashFrac: 0.5, MassDowntime: 60, Seed: 2}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

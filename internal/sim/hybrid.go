@@ -186,9 +186,7 @@ func hybridFallback(cfg Config, m *rates.Model, duration float64, hy HybridOptio
 	if err != nil {
 		return nil, err
 	}
-	cfg.Trace = nil
-	cfg.Contacts = src
-	res, err := Run(cfg)
+	res, err := Run(cfg, src)
 	if err != nil {
 		return nil, err
 	}
@@ -199,20 +197,16 @@ func hybridFallback(cfg Config, m *rates.Model, duration float64, hy HybridOptio
 }
 
 // RunHybrid simulates cfg over the structured rate model m for the
-// given duration on the hybrid engine. The configuration must leave
-// Trace and Contacts nil — the engine builds its own contact process
-// (and, on fallback, the model's sharded source seeded by
-// hy.ContactSeed). The returned Result always carries a non-nil Hybrid
-// tally.
+// given duration on the hybrid engine. The engine builds its own
+// contact process (and, on fallback, the model's sharded source seeded
+// by hy.ContactSeed). The returned Result always carries a non-nil
+// Hybrid tally.
 func RunHybrid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (*Result, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil rate model", ErrHybrid)
 	}
 	if duration <= 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
 		return nil, fmt.Errorf("%w: duration %g", ErrHybrid, duration)
-	}
-	if cfg.Trace != nil || cfg.Contacts != nil {
-		return nil, fmt.Errorf("%w: the engine builds its own contact process; leave Trace and Contacts nil", ErrHybrid)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("%w: nil policy", ErrHybrid)
@@ -365,7 +359,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 		nodes: nodes, items: items, comms: comms, sizes: sizes,
 		measureStart: cfg.WarmupFrac * duration,
 		winArr:       make([]float64, items),
-		uk:           kernelFor(cfg.Utility, cfg.ReferenceKernel),
+		uk:           kernelFor(cfg.Utility),
 		tally:        &HybridTally{},
 	}
 	h.pushBelief()

@@ -93,11 +93,6 @@ func TestHybridRejectsBadConfig(t *testing.T) {
 		{"nil-model", func(c *Config) (*rates.Model, float64) { return nil, 100 }},
 		{"zero-duration", func(c *Config) (*rates.Model, float64) { return m, 0 }},
 		{"nan-duration", func(c *Config) (*rates.Model, float64) { return m, math.NaN() }},
-		{"contacts-set", func(c *Config) (*rates.Model, float64) {
-			src, _ := rates.NewSharded(m, 10, 1, 0)
-			c.Contacts = src
-			return m, 100
-		}},
 		{"nil-policy", func(c *Config) (*rates.Model, float64) { c.Policy = nil; return m, 100 }},
 		{"nil-utility", func(c *Config) (*rates.Model, float64) { c.Utility = nil; return m, 100 }},
 		{"empty-pop", func(c *Config) (*rates.Model, float64) { c.Pop = demand.Popularity{}; return m, 100 }},
@@ -194,9 +189,7 @@ func TestHybridFallbackMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := cfg
-	ref.Contacts = src
-	refRes, err := Run(ref)
+	refRes, err := Run(cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +221,7 @@ func TestHybridStaticTracksFullSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := cfg
-		ref.Contacts = src
-		r, err := Run(ref)
+		r, err := Run(cfg, src)
 		if err != nil {
 			t.Fatal(err)
 		}

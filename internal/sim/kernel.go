@@ -14,8 +14,9 @@
 // the same operation order* as the corresponding utility method (the
 // expressions are copied verbatim), so results are byte-identical and
 // every golden digest family is preserved. Utilities outside the four
-// closed-form families — and every item when Config.ReferenceKernel is
-// set — keep the interface call via the ukGeneric fallback arm.
+// closed-form families keep the interface call via the ukGeneric
+// fallback arm; the executor differential test checks the fast arms
+// against it.
 package sim
 
 import (
@@ -29,7 +30,7 @@ type utilKind uint8
 
 const (
 	// ukGeneric evaluates through the utility.Function interface: custom
-	// utilities, and every item under Config.ReferenceKernel.
+	// utilities outside the closed-form families.
 	ukGeneric utilKind = iota
 	ukStep             // utility.Step: a is τ
 	ukExp              // utility.Exponential: a is ν
@@ -47,14 +48,10 @@ type utilKernel struct {
 	fn   utility.Function // resolved function; fallback and provenance
 }
 
-// kernelFor resolves f into its fast path. reference forces the generic
-// arm, which is how the kernel benchmark measures the pre-devirtualized
-// cost of the identical run.
-func kernelFor(f utility.Function, reference bool) utilKernel {
+// kernelFor resolves f into its fast path; an unknown concrete type
+// keeps the generic arm.
+func kernelFor(f utility.Function) utilKernel {
 	k := utilKernel{kind: ukGeneric, fn: f}
-	if reference {
-		return k
-	}
 	switch u := f.(type) {
 	case utility.Step:
 		k.kind, k.a, k.h0 = ukStep, u.Tau, 1

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"impatience/internal/adversary"
 	"impatience/internal/contact"
 	"impatience/internal/core"
 	"impatience/internal/demand"
@@ -13,12 +12,12 @@ import (
 )
 
 // TestKernelReferenceEquivalence is the correctness anchor of the
-// devirtualized contact kernel: Config.ReferenceKernel replays the
-// pre-optimization path (Next-per-contact streaming, interface utility
-// dispatch, hooks always invoked), so for every policy, utility family
-// and contact path the fast kernel's Result digest must be bit-identical
-// to the reference run's. Each sub-test builds both configs from the
-// same inputs and compares digests.
+// devirtualized contact kernel: the reference wrappers (see reference)
+// replay the pre-optimization path — Next-per-contact streaming,
+// interface utility dispatch, hooks always invoked — so for every
+// policy, utility family and contact path the fast kernel's Result
+// digest must be bit-identical to the reference run's. Each sub-test
+// builds both configs from the same inputs and compares digests.
 func TestKernelReferenceEquivalence(t *testing.T) {
 	policies := []struct {
 		name string
@@ -57,40 +56,30 @@ func TestKernelReferenceEquivalence(t *testing.T) {
 		}},
 	}
 	tr := smallTrace(t, 12, 0.05, 800, 9)
+	// Each path hands out a fresh source per run: a stream's RNG state
+	// mutates as it drains.
 	paths := []struct {
 		name string
-		run  func(t *testing.T, cfg Config) *Result
+		run  func(t *testing.T, cfg Config, ref bool) *Result
 	}{
-		{"materialized", func(t *testing.T, cfg Config) *Result {
-			cfg.Trace = tr
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			return res
+		{"materialized", func(t *testing.T, cfg Config, ref bool) *Result {
+			return runOne(t, cfg, viewSource(tr.Source(), ref))
 		}},
-		{"streaming", func(t *testing.T, cfg Config) *Result {
-			// A fresh stream per run: its RNG state mutates as it drains.
+		{"streaming", func(t *testing.T, cfg Config, ref bool) *Result {
 			src, err := contact.NewHomogeneousStream(12, 0.05, 800, newRNG(9))
 			if err != nil {
 				t.Fatalf("NewHomogeneousStream: %v", err)
 			}
-			cfg.Trace, cfg.Contacts = nil, src
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			return res
+			return runOne(t, cfg, viewSource(src, ref))
 		}},
-		{"batch", func(t *testing.T, cfg Config) *Result {
+		{"batch", func(t *testing.T, cfg Config, ref bool) *Result {
 			src, err := contact.NewReplayStream(trace.UniformRates(12, 0.05), 800, 9, 12)
 			if err != nil {
 				t.Fatalf("NewReplayStream: %v", err)
 			}
-			cfg.Trace, cfg.Contacts = nil, nil
-			res, err := RunBatch([]Config{cfg}, src)
+			res, err := RunBatchSharded([]Config{cfg}, viewSource(src, ref), 1)
 			if err != nil {
-				t.Fatalf("RunBatch: %v", err)
+				t.Fatalf("RunBatchSharded: %v", err)
 			}
 			return res[0]
 		}},
@@ -99,70 +88,24 @@ func TestKernelReferenceEquivalence(t *testing.T) {
 		for _, uc := range utilities {
 			for _, path := range paths {
 				t.Run(pc.name+"/"+uc.name+"/"+path.name, func(t *testing.T) {
-					mk := func(reference bool) Config {
-						cfg := baseConfig(t, nil, pc.pol())
+					mk := func(ref bool) Config {
+						cfg := baseConfig(t, pc.pol())
 						cfg.BinWidth = 80
 						cfg.RecordCounts = true
 						uc.mod(&cfg)
-						cfg.ReferenceKernel = reference
+						if ref {
+							cfg = reference(cfg)
+						}
 						return cfg
 					}
-					ref := path.run(t, mk(true))
-					fast := path.run(t, mk(false))
+					ref := path.run(t, mk(true), true)
+					fast := path.run(t, mk(false), false)
 					if ref.Digest() != fast.Digest() {
 						t.Errorf("fast kernel digest %#x != reference %#x", fast.Digest(), ref.Digest())
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestKernelReferenceEquivalenceAdversary pins the non-passive side of
-// the dispatch elision: with every misbehavior class active the hooks
-// and role lookups must still run (passivity is off), and the fast
-// kernel must remain bit-identical to the reference path.
-func TestKernelReferenceEquivalenceAdversary(t *testing.T) {
-	run := func(reference bool) *Result {
-		cfg := adversarialConfig(t, 3)
-		cfg.ReferenceKernel = reference
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
-	}
-	ref, fast := run(true), run(false)
-	if ref.Digest() != fast.Digest() {
-		t.Errorf("fast kernel digest %#x != reference %#x under adversary", fast.Digest(), ref.Digest())
-	}
-	if ref.Adversary == nil || fast.Adversary == nil {
-		t.Fatalf("adversary tally missing: ref=%v fast=%v", ref.Adversary, fast.Adversary)
-	}
-	if *ref.Adversary != *fast.Adversary {
-		t.Errorf("adversary tallies diverge: %+v vs %+v", *fast.Adversary, *ref.Adversary)
-	}
-}
-
-// TestKernelFreeRiderEquivalence targets the immediate-fulfillment
-// elision specifically: with FreeRiderFrac = 1 every local hit takes the
-// suppressed-reaction branch, which the passive fast path must never
-// skip (passivity requires no adversary).
-func TestKernelFreeRiderEquivalence(t *testing.T) {
-	run := func(reference bool) *Result {
-		tr := smallTrace(t, 15, 0.05, 500, 4)
-		cfg := baseConfig(t, tr, core.Static{Label: "uni"})
-		cfg.Adversary = &adversary.Config{FreeRiderFrac: 1, Seed: 3}
-		cfg.ReferenceKernel = reference
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
-	}
-	ref, fast := run(true), run(false)
-	if ref.Digest() != fast.Digest() {
-		t.Errorf("fast kernel digest %#x != reference %#x with free-riders", fast.Digest(), ref.Digest())
 	}
 }
 
@@ -185,12 +128,11 @@ func TestBatchedStreamZeroAllocSteadyState(t *testing.T) {
 		Rho:        3,
 		Utility:    utility.Step{Tau: 10},
 		Pop:        demand.Pareto(items, 1, 2),
-		Contacts:   src,
 		Policy:     core.Static{Label: "uni"},
 		Seed:       5,
 		WarmupFrac: -1,
 	}
-	r, err := newRunner(&cfg)
+	r, err := newRunner(&cfg, nodes, duration)
 	if err != nil {
 		t.Fatalf("newRunner: %v", err)
 	}
@@ -240,12 +182,11 @@ func TestShardedSourceZeroAllocSteadyState(t *testing.T) {
 		Rho:        3,
 		Utility:    utility.Step{Tau: 10},
 		Pop:        demand.Pareto(items, 1, 2),
-		Contacts:   src,
 		Policy:     core.Static{Label: "uni"},
 		Seed:       5,
 		WarmupFrac: -1,
 	}
-	r, err := newRunner(&cfg)
+	r, err := newRunner(&cfg, nodes, duration)
 	if err != nil {
 		t.Fatalf("newRunner: %v", err)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -41,47 +40,14 @@ func (e shardError) before(o shardError) bool {
 	return e.class < o.class
 }
 
-// RunBatchSharded is RunBatch partitioned across a worker set: the
-// shared contact stream is produced (and, for trace.Partitionable
-// sources such as the structured rate models, generated in parallel
-// sub-streams and re-merged in (T, A, B) order) on a producer pipeline,
-// broadcast in chunks, and each worker steps the runners it owns —
-// config i belongs to worker i mod W. Because every runner's state and
-// RNG streams are private and each consumes the identical validated
-// contact sequence, Results[i] is bit-identical to RunBatch's — and
-// therefore to Run(cfgs[i]) — at every shard count; shards ≤ 1 is
-// exactly RunBatch. Errors are selected by (contact ordinal, config
-// index), reproducing the serial executor's first-failure semantics
-// regardless of worker scheduling.
-func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Result, error) {
-	if shards <= 1 {
-		return RunBatch(cfgs, contacts)
-	}
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("sim: empty batch")
-	}
-	if contacts == nil {
-		return nil, fmt.Errorf("sim: nil contact source")
-	}
-	nodes, duration := contacts.Nodes(), contacts.Duration()
-	runners := make([]*runner, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i] // private copy, as Run takes cfg by value
-		if err := validateBatch(&cfg, nodes, duration); err != nil {
-			return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-		}
-		r, err := buildRunner(&cfg, nodes, duration)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-		}
-		r.checked = true // the producer validates each contact once
-		runners[i] = r
-	}
-
-	workers := shards
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
+// runSharded is RunBatchSharded's multi-worker loop: a producer
+// goroutine generates, validates, chunks and broadcasts the stream, and
+// each worker steps the runners it owns. A panic in any goroutine
+// becomes a shardError at the contact it happened on, so the ordinary
+// first-failure selection reports it.
+func runSharded(runners []*runner, contacts trace.Source, shards int) ([]*Result, error) {
+	nodes, duration := runners[0].nodes, runners[0].duration
+	workers := min(shards, len(runners))
 
 	var stop atomic.Bool
 	feeds := make([]chan shardChunk, workers)
@@ -102,10 +68,15 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 				close(f)
 			}
 		}()
+		var ord int64
+		defer func() {
+			if p := recover(); p != nil {
+				prodErr = &shardError{ord: ord, class: -1, err: panicErr(-1, p)}
+			}
+		}()
 		stream := newShardStream(contacts, shards)
 		defer stream.stop()
 		prevT := 0.0
-		var ord int64
 		for prodErr == nil {
 			// The source bulk-fills the broadcast chunk in place — no
 			// per-contact staging copy. Each chunk is freshly allocated
@@ -147,11 +118,12 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 	}()
 
 	// Workers: step owned runners over every broadcast contact; on a
-	// step error, record it, raise the stop flag, and keep draining the
-	// feed so the producer never blocks. Finish errors rank after all
-	// step errors (ordinal MaxInt64), matching the serial executor,
-	// which only finishes once the whole stream has been stepped.
-	results := make([]*Result, len(cfgs))
+	// step error or a panic, record it, raise the stop flag, and keep
+	// draining the feed so the producer never blocks. Finish errors rank
+	// after all step errors (ordinal MaxInt64), matching the serial
+	// executor, which only finishes once the whole stream has been
+	// stepped.
+	results := make([]*Result, len(runners))
 	workerErrs := make([]*shardError, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -159,14 +131,26 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 		go func(w int) {
 			defer wg.Done()
 			var fail *shardError
+			var ord int64 // position of the step in flight, for panics
+			idx := w
+			defer func() {
+				if p := recover(); p != nil {
+					fail = &shardError{ord: ord, class: idx, err: panicErr(idx, p)}
+					stop.Store(true)
+					for range feeds[w] {
+					}
+				}
+				workerErrs[w] = fail
+			}()
 			for ck := range feeds[w] {
 				if fail != nil {
 					continue // drain
 				}
 				for j, c := range ck.contacts {
-					for idx := w; idx < len(runners); idx += workers {
+					ord = ck.base + int64(j)
+					for idx = w; idx < len(runners); idx += workers {
 						if err := runners[idx].step(c); err != nil {
-							fail = &shardError{ord: ck.base + int64(j), class: idx, err: err}
+							fail = &shardError{ord: ord, class: idx, err: err}
 							stop.Store(true)
 							break
 						}
@@ -177,16 +161,16 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 				}
 			}
 			if fail == nil {
-				for idx := w; idx < len(runners); idx += workers {
+				ord = math.MaxInt64
+				for idx = w; idx < len(runners); idx += workers {
 					res, err := runners[idx].finish()
 					if err != nil {
-						fail = &shardError{ord: math.MaxInt64, class: idx, err: fmt.Errorf("sim: batch config %d: %w", idx, err)}
+						fail = &shardError{ord: ord, class: idx, err: configErr(len(runners), idx, err)}
 						break
 					}
 					results[idx] = res
 				}
 			}
-			workerErrs[w] = fail
 		}(w)
 	}
 	prodWG.Wait()
@@ -211,15 +195,17 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 // order, which by the Partitionable contract reconstructs the canonical
 // sequence bit-for-bit. Otherwise next just forwards the source.
 type shardStream struct {
-	src   trace.Source
-	parts []*shardPart
-	done  chan struct{}
+	src    trace.Source
+	parts  []*shardPart
+	done   chan struct{}
+	failed error // first panicked part seen by next; ends the stream
 }
 
 type shardPart struct {
 	ch  chan []trace.Contact
 	cur []trace.Contact
 	i   int
+	err error // a panic of the part's goroutine; written before ch closes
 }
 
 // head returns the part's current front contact; ok is false once the
@@ -252,6 +238,11 @@ func newShardStream(src trace.Source, shards int) *shardStream {
 		s.parts[i] = part
 		go func(sub trace.Source) {
 			defer close(part.ch)
+			defer func() {
+				if p := recover(); p != nil {
+					part.err = panicErr(-1, p)
+				}
+			}()
 			for {
 				// Fresh per chunk: the producer reads a sent chunk while
 				// this goroutine fills the next.
@@ -283,6 +274,10 @@ func (s *shardStream) next() (trace.Contact, bool) {
 	for i, p := range s.parts {
 		c, ok := p.head()
 		if !ok {
+			if p.err != nil {
+				s.failed = p.err
+				return trace.Contact{}, false
+			}
 			continue
 		}
 		if bestI < 0 || shardContactLess(c, bestC) {
@@ -318,17 +313,14 @@ func (s *shardStream) fill(buf []trace.Contact) int {
 	return n
 }
 
-// err surfaces a mid-stream source failure (only possible on the
-// non-partitioned path; partitioned sub-streams come from synthetic
-// generators, which cannot fail underway).
+// err surfaces a mid-stream source failure: a trace.ErrSource error on
+// the non-partitioned path, a panicked sub-stream on the partitioned
+// one.
 func (s *shardStream) err() error {
 	if s.parts != nil {
-		return nil
+		return s.failed
 	}
-	if es, ok := s.src.(trace.ErrSource); ok {
-		return es.Err()
-	}
-	return nil
+	return sourceErr(s.src)
 }
 
 // stop releases the part goroutines on early abort.

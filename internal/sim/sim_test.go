@@ -26,25 +26,27 @@ func smallTrace(t *testing.T, nodes int, mu, duration float64, seed uint64) *tra
 	return tr
 }
 
-func baseConfig(t *testing.T, tr *trace.Trace, pol core.Policy) Config {
+func baseConfig(t *testing.T, pol core.Policy) Config {
 	t.Helper()
 	return Config{
 		Rho:     3,
 		Utility: utility.Step{Tau: 10},
 		Pop:     demand.Pareto(10, 1, 2),
-		Trace:   tr,
 		Policy:  pol,
 		Seed:    1,
 	}
 }
 
+// layerTrace is the shared contact trace of the fault and adversary
+// layer tests.
+func layerTrace(t *testing.T) *trace.Trace { return smallTrace(t, 20, 0.05, 600, 11) }
+
 func TestValidation(t *testing.T) {
 	tr := smallTrace(t, 10, 0.05, 100, 1)
-	good := baseConfig(t, tr, core.Static{})
+	good := baseConfig(t, core.Static{})
 	bads := []func(*Config){
 		func(c *Config) { c.Utility = nil },
 		func(c *Config) { c.Policy = nil },
-		func(c *Config) { c.Trace = nil },
 		func(c *Config) { c.Rho = 0 },
 		func(c *Config) { c.Pop = demand.Popularity{} },
 		func(c *Config) { c.WarmupFrac = 1.5 },
@@ -54,22 +56,25 @@ func TestValidation(t *testing.T) {
 	for i, mod := range bads {
 		cfg := good
 		mod(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if _, err := Run(cfg, tr.Source()); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if _, err := Run(good); err != nil {
+	if _, err := Run(good, nil); err == nil {
+		t.Error("nil contact source accepted")
+	}
+	if _, err := Run(good, tr.Source()); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
 }
 
 func TestStaticAllocationStaysFixed(t *testing.T) {
 	tr := smallTrace(t, 10, 0.05, 500, 2)
-	cfg := baseConfig(t, tr, core.Static{Label: "uni"})
+	cfg := baseConfig(t, core.Static{Label: "uni"})
 	cfg.NoSticky = true
 	initial := alloc.Uniform(10, 10, 3)
 	cfg.Initial = initial
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -85,9 +90,9 @@ func TestStaticAllocationStaysFixed(t *testing.T) {
 
 func TestGainsAreRecorded(t *testing.T) {
 	tr := smallTrace(t, 20, 0.05, 1000, 3)
-	cfg := baseConfig(t, tr, core.Static{})
+	cfg := baseConfig(t, core.Static{})
 	cfg.NoSticky = true
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -120,10 +125,10 @@ func TestObservedMatchesAnalyticWelfare(t *testing.T) {
 	counts := alloc.Sqrt(pop.Rates, nodes, rho)
 	cfg := Config{
 		Rho: rho, Utility: utility.Step{Tau: 5}, Pop: pop,
-		Trace: tr, Policy: core.Static{}, Initial: counts,
+		Policy: core.Static{}, Initial: counts,
 		NoSticky: true, Seed: 9,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -145,11 +150,11 @@ func TestImmediateFulfillment(t *testing.T) {
 	pop := demand.Uniform(2, 1)
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 10}, Pop: pop,
-		Trace: tr, Policy: core.Static{},
+		Policy:   core.Static{},
 		Initial:  alloc.Counts{1, 0},
 		NoSticky: true, Seed: 5, WarmupFrac: -1,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -178,9 +183,9 @@ func TestStickyReplicasNeverLost(t *testing.T) {
 	}
 	cfg := Config{
 		Rho: 3, Utility: utility.Step{Tau: 5}, Pop: demand.Pareto(items, 1, 2),
-		Trace: tr, Policy: q, Seed: 11,
+		Policy: q, Seed: 11,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -203,9 +208,9 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 	cfg := Config{
 		Rho: 2, Utility: utility.Exponential{Nu: 0.2}, Pop: demand.Pareto(12, 1, 2),
-		Trace: tr, Policy: q, Seed: 13,
+		Policy: q, Seed: 13,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -219,11 +224,11 @@ func TestCapacityInvariant(t *testing.T) {
 
 func TestBinsSeries(t *testing.T) {
 	tr := smallTrace(t, 10, 0.05, 400, 8)
-	cfg := baseConfig(t, tr, core.Static{})
+	cfg := baseConfig(t, core.Static{})
 	cfg.NoSticky = true
 	cfg.BinWidth = 50
 	cfg.RecordCounts = true
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -257,9 +262,9 @@ func TestDeterminism(t *testing.T) {
 		q := &core.QCR{Reaction: core.PathReplication(1), MandateRouting: true, Seed: 21}
 		cfg := Config{
 			Rho: 2, Utility: utility.Step{Tau: 8}, Pop: demand.Pareto(10, 1, 2),
-			Trace: tr, Policy: q, Seed: 22,
+			Policy: q, Seed: 22,
 		}
-		res, err := Run(cfg)
+		res, err := Run(cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -278,10 +283,10 @@ func TestDemandSwitch(t *testing.T) {
 	q := &core.QCR{Reaction: core.PathReplication(1), MandateRouting: true, Seed: 31}
 	cfg := Config{
 		Rho: 2, Utility: utility.Step{Tau: 5}, Pop: demand.Pareto(10, 1, 2),
-		Trace: tr, Policy: q, Seed: 32,
+		Policy: q, Seed: 32,
 		DemandSwitch: &newPop, DemandSwitchTime: 500,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, tr.Source())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -323,20 +328,20 @@ func TestQCRConvergesTowardOptimum(t *testing.T) {
 			Seed:           trial,
 		}
 		cfg := Config{
-			Rho: rho, Utility: f, Pop: pop, Trace: tr, Policy: q,
+			Rho: rho, Utility: f, Pop: pop, Policy: q,
 			Seed: 100 + trial, WarmupFrac: 0.3,
 		}
-		res, err := Run(cfg)
+		res, err := Run(cfg, tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}
 		qcrGain += res.AvgUtilityRate / trials
 
 		cfgO := Config{
-			Rho: rho, Utility: f, Pop: pop, Trace: tr, Policy: core.Static{Label: "opt"},
+			Rho: rho, Utility: f, Pop: pop, Policy: core.Static{Label: "opt"},
 			Initial: opt, NoSticky: true, Seed: 200 + trial, WarmupFrac: 0.3,
 		}
-		resO, err := Run(cfgO)
+		resO, err := Run(cfgO, tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}

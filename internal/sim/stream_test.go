@@ -3,6 +3,7 @@ package sim
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,10 +20,10 @@ import (
 // see TestStreamFusedGolden.
 var update = flag.Bool("update", false, "rewrite testdata golden digests instead of comparing")
 
-// TestStreamAdapterMatchesMaterialized: driving the simulator through
-// Config.Contacts with an adapter over the same trace must be
-// bit-identical to the materialized path — same seed, same Digest. This
-// is the equivalence that lets experiments switch paths freely.
+// TestStreamAdapterMatchesMaterialized: the slice adapter's bulk copy
+// out of a materialized trace must be bit-identical to reading the same
+// trace one Next at a time — same seed, same Digest. This is the
+// equivalence that lets experiments hand the executor any source view.
 func TestStreamAdapterMatchesMaterialized(t *testing.T) {
 	tr := smallTrace(t, 12, 0.05, 800, 9)
 	for _, tc := range []struct {
@@ -40,22 +41,15 @@ func TestStreamAdapterMatchesMaterialized(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mat := baseConfig(t, tr, tc.pol())
-			mat.BinWidth = 80
-			want, err := Run(mat)
-			if err != nil {
-				t.Fatalf("materialized Run: %v", err)
+			mk := func() Config {
+				cfg := baseConfig(t, tc.pol())
+				cfg.BinWidth = 80
+				return cfg
 			}
-			str := baseConfig(t, nil, tc.pol())
-			str.BinWidth = 80
-			str.Trace = nil
-			str.Contacts = tr.Source()
-			got, err := Run(str)
-			if err != nil {
-				t.Fatalf("streaming Run: %v", err)
-			}
+			want := runOne(t, mk(), tr.Source())
+			got := runOne(t, mk(), nextOnly{tr.Source()})
 			if got.Digest() != want.Digest() {
-				t.Errorf("digest mismatch: streaming %#x != materialized %#x", got.Digest(), want.Digest())
+				t.Errorf("digest mismatch: per-contact %#x != bulk %#x", got.Digest(), want.Digest())
 			}
 		})
 	}
@@ -63,17 +57,16 @@ func TestStreamAdapterMatchesMaterialized(t *testing.T) {
 
 // fusedConfig wires a fused generate+simulate run: the contact stream is
 // drawn lazily inside Run, never materialized.
-func fusedConfig(t *testing.T, nodes int, mu, duration float64, seed uint64) Config {
+func fusedConfig(t *testing.T, nodes int, mu, duration float64, seed uint64) (Config, trace.Source) {
 	t.Helper()
 	src, err := contact.NewHomogeneousStream(nodes, mu, duration, newRNG(seed))
 	if err != nil {
 		t.Fatalf("NewHomogeneousStream: %v", err)
 	}
 	return Config{
-		Rho:      3,
-		Utility:  utility.Step{Tau: 10},
-		Pop:      demand.Pareto(10, 1, 2),
-		Contacts: src,
+		Rho:     3,
+		Utility: utility.Step{Tau: 10},
+		Pop:     demand.Pareto(10, 1, 2),
 		Policy: &core.QCR{
 			Reaction:       core.TunedReaction(utility.Step{Tau: 10}, mu, nodes, 1),
 			MandateRouting: true,
@@ -81,7 +74,7 @@ func fusedConfig(t *testing.T, nodes int, mu, duration float64, seed uint64) Con
 			Seed:           7,
 		},
 		Seed: 1,
-	}
+	}, src
 }
 
 // TestStreamFusedGolden pins the fused path's own determinism: the
@@ -131,36 +124,29 @@ func TestStreamFusedGolden(t *testing.T) {
 // TestStreamRejectsBadSources: dimension and ordering violations surface
 // as errors, not silent corruption.
 func TestStreamRejectsBadSources(t *testing.T) {
-	good := fusedConfig(t, 12, 0.05, 800, 9)
+	good, _ := fusedConfig(t, 12, 0.05, 800, 9)
 
-	both := good
-	both.Trace = smallTrace(t, 12, 0.05, 100, 1)
-	if _, err := Run(both); err == nil {
-		t.Error("config with both Trace and Contacts accepted")
+	if _, err := Run(good, (&trace.Trace{Nodes: 0, Duration: 100}).Source()); err == nil {
+		t.Error("0-node source accepted")
 	}
-
-	tiny := good
-	tiny.Contacts = (&trace.Trace{Nodes: 1, Duration: 100}).Source()
-	if _, err := Run(tiny); err == nil {
-		t.Error("1-node source accepted")
+	if _, err := Run(good, (&trace.Trace{Nodes: 4, Duration: math.NaN()}).Source()); err == nil {
+		t.Error("NaN-duration source accepted")
 	}
 
 	// Out-of-order and out-of-range streams must fail mid-run: the
-	// adapter yields the raw slice, so sim's per-contact check is the
-	// only guard.
-	disordered := good
-	disordered.Contacts = (&trace.Trace{Nodes: 4, Duration: 100, Contacts: []trace.Contact{
+	// adapter yields the raw slice, so the executor's per-contact check
+	// is the only guard.
+	disordered := (&trace.Trace{Nodes: 4, Duration: 100, Contacts: []trace.Contact{
 		{T: 50, A: 0, B: 1}, {T: 10, A: 1, B: 2},
 	}}).Source()
-	if _, err := Run(disordered); err == nil {
+	if _, err := Run(good, disordered); err == nil {
 		t.Error("out-of-order stream accepted")
 	}
 
-	outOfRange := good
-	outOfRange.Contacts = (&trace.Trace{Nodes: 4, Duration: 100, Contacts: []trace.Contact{
+	outOfRange := (&trace.Trace{Nodes: 4, Duration: 100, Contacts: []trace.Contact{
 		{T: 10, A: 0, B: 9},
 	}}).Source()
-	if _, err := Run(outOfRange); err == nil {
+	if _, err := Run(good, outOfRange); err == nil {
 		t.Error("out-of-range endpoint accepted")
 	}
 }
@@ -181,12 +167,11 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		Rho:        3,
 		Utility:    utility.Step{Tau: 10},
 		Pop:        demand.Pareto(items, 1, 2),
-		Contacts:   (&trace.Trace{Nodes: nodes, Duration: duration}).Source(),
 		Policy:     core.Static{Label: "uni"},
 		Seed:       5,
 		WarmupFrac: -1,
 	}
-	r, err := newRunner(&cfg)
+	r, err := newRunner(&cfg, nodes, duration)
 	if err != nil {
 		t.Fatalf("newRunner: %v", err)
 	}
